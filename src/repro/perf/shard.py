@@ -22,12 +22,19 @@ layers exploit that:
   :class:`~repro.perf.parallel.ParallelSweep` process pool, merging in
   component order — the merged result is bitwise identical to the
   serial monolithic solve at any job count.
+  :meth:`ShardedSolver.solve_components` takes several analyses at once
+  and reports components a caller kept resident as reused.
 * :class:`BatchAllocationEngine` fronts the solver with a
   register / allocate / release batch API in the shape of psim's
-  ``BandwidthAllocator`` family: campaigns push whole lists of flows
-  through admission control (per-component batch feasibility with a
-  greedy per-flow fallback) and solve one epoch over 100k+ concurrent
-  flows.
+  ``BandwidthAllocator`` family over one resident
+  :class:`~repro.perf.incremental.IncrementalContention` store.  The
+  dirty rule: ``register`` (per admitted flow) and ``release`` mark the
+  flow's *universe component* — its connected component in the
+  universe contention graph — and ``allocate`` re-analyzes and
+  re-fingerprints only the dirty ones, keeping every other component's
+  last shares resident.  An epoch therefore costs in proportion to the
+  universe components it touched; :meth:`BatchAllocationEngine.active_analysis`
+  rebuilds the whole active subset and serves only as the oracle.
 
 Fingerprints hash the LP *structure in insertion order* (column order
 affects simplex pivoting, hence bitwise results), excluding constraint
@@ -47,17 +54,17 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
-    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from ..core.contention import ContentionAnalysis
 from ..core.fairness_defs import basic_shares
 from ..core.model import Flow, Scenario, SubflowId
-from ..graphs import Graph, connected_components
-from ..graphs.cliques import clique_vertex_order, maximal_cliques, sort_cliques
+from ..graphs import connected_components
 from ..lp import LinearProgram, lexicographic_maxmin
 from ..obs.registry import incr, observe, phase_timer
 from ..obs.trace import current_span_id, span
+from .incremental import IncrementalContention
 from .parallel import ParallelSweep
 from .warm import WarmLPCache
 
@@ -69,8 +76,6 @@ __all__ = [
     "component_fingerprint",
     "component_problems",
 ]
-
-Clique = FrozenSet[SubflowId]
 
 
 class ShardResultError(RuntimeError):
@@ -316,98 +321,124 @@ class ShardedSolver:
         capacity: Optional[float] = None,
     ) -> Dict[str, float]:
         """Sharded equivalent of the monolithic phase-1 allocation."""
+        shares: Dict[str, float] = {}
+        for part in self.solve_components([analysis], capacity)[0]:
+            shares.update(part)
+        return shares
+
+    def solve_components(
+        self,
+        analyses: Sequence[ContentionAnalysis],
+        capacity: Optional[float] = None,
+        clean: int = 0,
+    ) -> List[List[Dict[str, float]]]:
+        """Per-component shares of each analysis, in component order.
+
+        All analyses' components go through one memo lookup and one
+        dirty fan-out.  ``clean`` counts components the caller keeps
+        resident without presenting them (the batch engine's untouched
+        universe components): they count as reused in the counters and
+        :attr:`last_stats`.
+        """
         with phase_timer("runtime.shard.solve"), \
                 span("runtime.shard") as shard_span:
-            problems = component_problems(
-                analysis, capacity, backend=self.backend
-            )
-            cached: Dict[int, Dict[str, float]] = {}
-            dirty: List[ComponentProblem] = []
-            for p in problems:
+            split = [
+                component_problems(a, capacity, backend=self.backend)
+                for a in analyses
+            ]
+            problems = [p for ps in split for p in ps]
+            results: List[Optional[Dict[str, float]]] = [None] * len(problems)
+            dirty_at: List[int] = []
+            for i, p in enumerate(problems):
                 if self._memo is not None and p.fingerprint in self._memo:
-                    cached[p.index] = self._memo[p.fingerprint]
+                    results[i] = self._memo[p.fingerprint]
                     self._memo.move_to_end(p.fingerprint)
                 else:
-                    dirty.append(p)
+                    dirty_at.append(i)
+            dirty = [problems[i] for i in dirty_at]
             t0 = time.perf_counter()
-            if dirty:
-                guarded = (self.task_timeout is not None
-                           or self.task_retries > 0
-                           or self.fault_injector is not None)
-                sweep = ParallelSweep(
-                    self.jobs,
-                    task_timeout=self.task_timeout,
-                    task_retries=self.task_retries,
-                    retry_backoff_s=self.retry_backoff_s,
-                )
-                try:
-                    if (self._warm is not None
-                            and (sweep.jobs <= 1 or len(dirty) <= 1)):
-                        # The sweep would run serial anyway: solve
-                        # in-process with warm-started bases instead of
-                        # cold (worker faults can't reach in-process
-                        # solves, so the injector is moot here).
-                        solved = [
-                            _solve_component_with(p, self._warm.solver)
-                            for p in dirty
-                        ]
-                    elif guarded:
-                        injector = self.fault_injector
-                        payloads = [
-                            (p,
-                             injector.spec_for(pos, len(dirty))
-                             if injector is not None else None)
-                            for pos, p in enumerate(dirty)
-                        ]
-                        solved = sweep.map(
-                            _solve_component_guarded, payloads,
-                            serial_fn=_solve_component_unguarded,
-                        )
-                    else:
-                        solved = sweep.map(_solve_component, dirty)
-                except ShardResultError as exc:
-                    incr("runtime.shard.worker_errors")
-                    if exc.span_id is None:
-                        exc.span_id = current_span_id()
-                    raise
-                except Exception as exc:
-                    # Never let a bare worker exception escape the
-                    # sharded path: wrap it with the span id so the
-                    # failure correlates with the trace.
-                    incr("runtime.shard.worker_errors")
-                    raise ShardResultError(
-                        f"sharded component solve failed: "
-                        f"{type(exc).__name__}: {exc}",
-                        span_id=current_span_id(),
-                    ) from exc
-            else:
-                solved = []
+            solved = self._solve_dirty(dirty) if dirty else []
             parallel_ms = (time.perf_counter() - t0) * 1e3
-            for p, result in zip(dirty, solved):
-                cached[p.index] = result
+            for i, result in zip(dirty_at, solved):
+                results[i] = result
                 if self._memo is not None:
-                    self._memo[p.fingerprint] = result
+                    self._memo[problems[i].fingerprint] = result
                     while len(self._memo) > self.max_entries:
                         self._memo.popitem(last=False)
-            shares: Dict[str, float] = {}
-            for p in problems:
-                shares.update(cached[p.index])
-            reused = len(problems) - len(dirty)
-            incr("runtime.shard.components", len(problems))
+            components = len(problems) + clean
+            reused = components - len(dirty)
+            incr("runtime.shard.components", components)
             incr("runtime.shard.dirty", len(dirty))
             incr("runtime.shard.reused", reused)
             observe("runtime.shard.parallel_ms", parallel_ms)
             shard_span.tag(
-                components=len(problems), dirty=len(dirty),
-                reused=reused,
+                components=components, dirty=len(dirty), reused=reused,
             )
             self.last_stats = {
-                "components": len(problems),
+                "components": components,
                 "dirty": len(dirty),
                 "reused": reused,
                 "parallel_ms": parallel_ms,
             }
-        return shares
+        out: List[List[Dict[str, float]]] = []
+        at = 0
+        for ps in split:
+            out.append(results[at:at + len(ps)])
+            at += len(ps)
+        return out
+
+    def _solve_dirty(
+        self, dirty: List[ComponentProblem]
+    ) -> List[Dict[str, float]]:
+        """Solve the memo misses: warm in-process, or across the pool."""
+        guarded = (self.task_timeout is not None
+                   or self.task_retries > 0
+                   or self.fault_injector is not None)
+        sweep = ParallelSweep(
+            self.jobs,
+            task_timeout=self.task_timeout,
+            task_retries=self.task_retries,
+            retry_backoff_s=self.retry_backoff_s,
+        )
+        try:
+            if (self._warm is not None
+                    and (sweep.jobs <= 1 or len(dirty) <= 1)):
+                # The sweep would run serial anyway: solve in-process
+                # with warm-started bases instead of cold (worker faults
+                # can't reach in-process solves, so the injector is
+                # moot here).
+                return [
+                    _solve_component_with(p, self._warm.solver)
+                    for p in dirty
+                ]
+            if guarded:
+                injector = self.fault_injector
+                payloads = [
+                    (p,
+                     injector.spec_for(pos, len(dirty))
+                     if injector is not None else None)
+                    for pos, p in enumerate(dirty)
+                ]
+                return sweep.map(
+                    _solve_component_guarded, payloads,
+                    serial_fn=_solve_component_unguarded,
+                )
+            return sweep.map(_solve_component, dirty)
+        except ShardResultError as exc:
+            incr("runtime.shard.worker_errors")
+            if exc.span_id is None:
+                exc.span_id = current_span_id()
+            raise
+        except Exception as exc:
+            # Never let a bare worker exception escape the sharded
+            # path: wrap it with the span id so the failure correlates
+            # with the trace.
+            incr("runtime.shard.worker_errors")
+            raise ShardResultError(
+                f"sharded component solve failed: "
+                f"{type(exc).__name__}: {exc}",
+                span_id=current_span_id(),
+            ) from exc
 
     # ------------------------------------------------------------------
     # Checkpoint support (repro.resilience.checkpoint)
@@ -444,25 +475,44 @@ class BatchAllocationEngine:
     """Batch register / allocate / release over a fixed flow universe.
 
     The universe — node geometry, every flow that can ever appear, the
-    full contention graph and its cliques — is fixed by the
-    ``analysis`` handed to the constructor (build it once; for very
-    large synthetic universes pass a precomputed graph and clique list
-    to :class:`ContentionAnalysis` to skip the geometric rebuild).
-    Campaigns then drive epochs with flow-id *lists*:
+    full contention graph — is fixed by the ``analysis`` handed to the
+    constructor (build it once; for very large synthetic universes pass
+    a precomputed graph and clique list to :class:`ContentionAnalysis`
+    to skip the geometric rebuild).  Its graph seeds one resident
+    :class:`~repro.perf.incremental.IncrementalContention` store (the
+    per-component clique cache and the flow -> universe-component
+    index), so epochs cost in proportion to the universe components
+    that changed, not to the universe.  Campaigns drive epochs with
+    flow-id *lists*:
 
     * :meth:`register` admission-gates a batch.  Candidates are grouped
-      by connected component of the trial graph; a component whose
-      whole batch keeps every floor feasible (Eq. 6) admits in one
-      check, otherwise the engine falls back to greedy per-flow FIFO
-      within that component.  Every verdict flows through the standard
-      :class:`~repro.resilience.admission.AdmissionController`, so the
-      decision log and ``admission.*`` counters match the runtime's.
-    * :meth:`allocate` advances one epoch: analyze the active subset
-      (induced subgraph + per-component clique cache), solve it with
-      the :class:`ShardedSolver`, and record the epoch wall latency in
-      ``runtime.epoch.latency_ms`` — the histogram the SLO report
+      by universe component; within each, by connected component of the
+      trial graph (that component's active flows plus its candidates).
+      A trial component whose whole batch keeps every floor feasible
+      (Eq. 6) admits in one check, otherwise the engine falls back to
+      greedy per-flow FIFO within it.  Every verdict flows through the
+      standard :class:`~repro.resilience.admission.AdmissionController`,
+      so the decision log and ``admission.*`` counters match the
+      runtime's.  An admitted flow marks its universe component dirty.
+    * :meth:`release` retires flows; each marks its universe component
+      dirty.
+    * :meth:`allocate` advances one epoch.  Each dirty universe component
+      is re-analyzed (induced subgraph of its active flows, cliques from
+      the store's cache) and its active components go through the
+      :class:`ShardedSolver` memo and dirty fan-out in one
+      :meth:`ShardedSolver.solve_components` call; clean universe
+      components keep their resident shares, are neither re-analyzed nor
+      re-fingerprinted, and count as reused.  The per-component shares
+      are merged in the order of their first subflow in the universe
+      graph — the group order of a whole-universe analysis — so the
+      rates equal ``basic_fairness_lp_allocation(active_analysis())``
+      bitwise, key order included.  The epoch wall latency lands in
+      ``runtime.epoch.latency_ms``, the histogram the SLO report
       summarizes into p50/p95/p99.
-    * :meth:`release` retires flows; their component alone goes dirty.
+
+    :meth:`active_analysis` rebuilds the whole active subset; it is the
+    oracle tests and benchmark checks compare against and is not on the
+    epoch path.
     """
 
     def __init__(
@@ -497,20 +547,24 @@ class BatchAllocationEngine:
             queue_rejected=queue_rejected,
             max_queue=max_queue,
         )
+        self.store = IncrementalContention(
+            analysis.scenario, active=(),
+            max_cached_components=max_cached_components,
+            graph=analysis.graph,
+        )
         self.epoch = -1
         self.active: Set[str] = set()
         self.rates: Dict[str, float] = {}
-        self._flows: Dict[str, Flow] = {
-            f.flow_id: f for f in analysis.scenario.flows
-        }
+        self._flows = self.store.flows
         self._subflows: Dict[str, List[SubflowId]] = {
             f.flow_id: [s.sid for s in f.subflows]
             for f in analysis.scenario.flows
         }
-        self.max_cached_components = int(max_cached_components)
-        self._component_cliques: "OrderedDict[Clique, List[Clique]]" = (
-            OrderedDict()
-        )
+        #: Universe components touched since the last allocate.
+        self._dirty: Set[int] = set()
+        #: Universe component -> ``(first vertex, shares)`` per active
+        #: component, as of the last allocate that touched it.
+        self._resident: Dict[int, List[Tuple[int, Dict[str, float]]]] = {}
 
     # ------------------------------------------------------------------
     # Batch admission
@@ -553,6 +607,7 @@ class BatchAllocationEngine:
                 decisions.append(decision)
                 if decision.action == ADMIT:
                     self.active.add(fid)
+                    self._dirty.add(self.store.component_of(fid))
             reg_span.tag(
                 requested=len(candidates),
                 admitted=sum(1 for d in decisions if d.action == ADMIT),
@@ -564,52 +619,58 @@ class BatchAllocationEngine:
     ) -> Dict[str, Tuple[str, str]]:
         """Per-candidate admission reasons, component-batched.
 
-        One Eq. (6) feasibility probe covers a whole component's batch;
-        only a failing component degrades to greedy per-flow checks in
-        request order (FIFO fairness within the batch).
+        One Eq. (6) feasibility probe covers a whole trial component's
+        batch; only a failing one degrades to greedy per-flow checks in
+        request order (FIFO fairness within the batch).  Trial components
+        never cross universe components, so each universe component's
+        active flows are all a probe needs to see.
         """
         from ..resilience.admission import REASON_FLOOR, REASON_OK
 
-        trial = self.active | set(candidates)
-        keep = {
-            sid for fid in trial for sid in self._subflows[fid]
-        }
-        graph = self.analysis.graph.subgraph(keep)
-        comp_of: Dict[str, int] = {}
-        comps = connected_components(graph)
-        for idx, comp in enumerate(comps):
-            for sid in comp:
-                comp_of[sid.flow] = idx
-        by_comp: Dict[int, List[str]] = {}
+        by_universe: Dict[int, List[str]] = {}
         for fid in candidates:
-            by_comp.setdefault(comp_of[fid], []).append(fid)
-        # One pass over the universe (FIFO order) keeps 100k-flow
-        # batches linear; a per-component rescan would be quadratic.
-        active_by_comp: Dict[int, List[str]] = {}
-        for fid in self._flows:
-            if fid in self.active:
-                idx = comp_of.get(fid)
-                if idx is not None:
-                    active_by_comp.setdefault(idx, []).append(fid)
+            by_universe.setdefault(
+                self.store.component_of(fid), []
+            ).append(fid)
         verdicts: Dict[str, Tuple[str, str]] = {}
-        for idx, comp_candidates in by_comp.items():
-            active_here = active_by_comp.get(idx, [])
-            if self._floors_feasible(active_here + comp_candidates):
+        for index, universe_candidates in by_universe.items():
+            incoming = set(universe_candidates)
+            trial = [
+                fid for fid in self.store.component_members(index)
+                if fid in self.active or fid in incoming
+            ]
+            graph = self.analysis.graph.induced_subgraph(
+                sid for fid in trial for sid in self._subflows[fid]
+            )
+            comp_of: Dict[str, int] = {}
+            for idx, comp in enumerate(connected_components(graph)):
+                for sid in comp:
+                    comp_of[sid.flow] = idx
+            by_comp: Dict[int, List[str]] = {}
+            for fid in universe_candidates:
+                by_comp.setdefault(comp_of[fid], []).append(fid)
+            active_by_comp: Dict[int, List[str]] = {}
+            for fid in trial:
+                if fid in self.active:
+                    active_by_comp.setdefault(comp_of[fid], []).append(fid)
+            for idx, comp_candidates in by_comp.items():
+                active_here = active_by_comp.get(idx, [])
+                if self._floors_feasible(active_here + comp_candidates):
+                    for fid in comp_candidates:
+                        verdicts[fid] = (REASON_OK, details)
+                    continue
+                incr("batch.register.greedy_fallbacks")
+                accepted = list(active_here)
                 for fid in comp_candidates:
-                    verdicts[fid] = (REASON_OK, details)
-                continue
-            incr("batch.register.greedy_fallbacks")
-            accepted = list(active_here)
-            for fid in comp_candidates:
-                if self._floors_feasible(accepted + [fid]):
-                    verdicts[fid] = (REASON_OK, details)
-                    accepted.append(fid)
-                else:
-                    verdicts[fid] = (
-                        REASON_FLOOR,
-                        "Eq. (6) fails with every active flow at its "
-                        "basic share",
-                    )
+                    if self._floors_feasible(accepted + [fid]):
+                        verdicts[fid] = (REASON_OK, details)
+                        accepted.append(fid)
+                    else:
+                        verdicts[fid] = (
+                            REASON_FLOOR,
+                            "Eq. (6) fails with every active flow at its "
+                            "basic share",
+                        )
         return verdicts
 
     def _floors_feasible(self, flow_ids: Sequence[str]) -> bool:
@@ -624,7 +685,7 @@ class BatchAllocationEngine:
         # — at 100k flows a batch runs ~10k probes.
         keep = [sid for fid in flow_ids for sid in self._subflows[fid]]
         graph = self.analysis.graph.induced_subgraph(keep)
-        cliques = self._cliques_of(graph)
+        cliques = self.store.cliques_of(graph)
         floors: Dict[str, float] = {}
         comp_of: Dict[str, int] = {}
         groups: Dict[int, List[Flow]] = {}
@@ -656,11 +717,43 @@ class BatchAllocationEngine:
         with phase_timer("batch.allocate"), \
                 span("runtime.batch.allocate") as alloc_span:
             self.epoch += 1
+            # A raising solve leaves the resident state and the dirty set
+            # untouched, so the next allocate retries the same components.
+            dirty = sorted(self._dirty)
+            touched: List[Tuple[int, ContentionAnalysis]] = []
+            for index in dirty:
+                ids = [fid for fid in self.store.component_members(index)
+                       if fid in self.active]
+                if ids:
+                    touched.append((index, self.store.analysis_of_flows(
+                        ids,
+                        name=f"{self.analysis.scenario.name}-batch",
+                    )))
+            solved: List[List[Dict[str, float]]] = []
             if self.active:
-                analysis = self.active_analysis()
-                self.rates = self.solver.solve(analysis, self.capacity)
-            else:
-                self.rates = {}
+                clean = sum(len(parts) for index, parts
+                            in self._resident.items()
+                            if index not in self._dirty)
+                solved = self.solver.solve_components(
+                    [analysis for _, analysis in touched], self.capacity,
+                    clean=clean,
+                )
+            for index in dirty:
+                self._resident.pop(index, None)
+            for (index, analysis), parts in zip(touched, solved):
+                self._resident[index] = [
+                    (self.store.first_vertex(group), shares)
+                    for group, shares in zip(analysis.groups, parts)
+                ]
+            self._dirty = set()
+            rates: Dict[str, float] = {}
+            for _, shares in sorted(
+                (part for parts in self._resident.values()
+                 for part in parts),
+                key=lambda part: part[0],
+            ):
+                rates.update(shares)
+            self.rates = rates
             alloc_span.tag(epoch=self.epoch, flows=len(self.rates))
         incr("batch.epochs")
         observe(
@@ -668,28 +761,30 @@ class BatchAllocationEngine:
         )
         return dict(self.rates)
 
-    def release(self, flow_ids: Sequence[str]) -> None:
+    def release(self, flow_ids: Iterable[str]) -> None:
         """Retire a batch of flows (unknown/inactive ids are ignored)."""
+        flow_ids = list(flow_ids)
         for fid in flow_ids:
-            self.active.discard(fid)
+            if fid in self.active:
+                self.active.discard(fid)
+                self._dirty.add(self.store.component_of(fid))
             self.rates.pop(fid, None)
             self.admission.drop_waiting(fid)
-        incr("batch.release.flows", len(list(flow_ids)))
+        incr("batch.release.flows", len(flow_ids))
 
     def rate_of(self, flow_id: str) -> float:
         """Last committed rate of ``flow_id`` (0.0 when not allocated)."""
         return self.rates.get(flow_id, 0.0)
 
     # ------------------------------------------------------------------
-    # Analysis plumbing
+    # Oracle
     # ------------------------------------------------------------------
     def active_analysis(self) -> ContentionAnalysis:
-        """Cold-rebuild-identical analysis of the active subset.
+        """Whole-universe analysis of the active subset (the oracle).
 
-        Same recipe as
-        :meth:`~repro.perf.incremental.IncrementalContention.analysis`:
-        induced subgraph in universe insertion order, cliques from the
-        per-component cache, canonical re-sort.  The monolithic
+        Same recipe as a cold rebuild: subgraph in universe insertion
+        order, cliques through the store's per-component cache,
+        canonical re-sort.  Epochs never call it; the monolithic
         differential tests run
         :func:`~repro.core.allocation.basic_fairness_lp_allocation`
         over exactly this object.
@@ -699,7 +794,7 @@ class BatchAllocationEngine:
         ]
         keep = {s.sid for f in active_flows for s in f.subflows}
         graph = self.analysis.graph.subgraph(keep)
-        cliques = self._cliques_of(graph)
+        cliques = self.store.cliques_of(graph)
         sub = Scenario(
             self.analysis.scenario.network,
             active_flows,
@@ -707,23 +802,3 @@ class BatchAllocationEngine:
             capacity=self.capacity,
         )
         return ContentionAnalysis(sub, graph=graph, cliques=cliques)
-
-    def _cliques_of(self, graph: Graph) -> List[Clique]:
-        """Maximal cliques of ``graph`` via the per-component cache."""
-        cliques: List[Clique] = []
-        for comp in connected_components(graph):
-            key = frozenset(comp)
-            cached = self._component_cliques.get(key)
-            if cached is None:
-                incr("batch.component_misses")
-                cached = maximal_cliques(graph.induced_subgraph(comp))
-                self._component_cliques[key] = cached
-                while (len(self._component_cliques)
-                       > self.max_cached_components):
-                    self._component_cliques.popitem(last=False)
-            else:
-                incr("batch.component_hits")
-                self._component_cliques.move_to_end(key)
-            cliques.extend(cached)
-        rank = {v: i for i, v in enumerate(clique_vertex_order(graph))}
-        return sort_cliques(cliques, rank)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..core.contention import ContentionAnalysis
 from ..obs.registry import incr, set_gauge
@@ -218,6 +218,22 @@ class AdmissionController:
             "admission.queue.age_mean",
             (sum(ages) / len(ages)) if ages else 0.0,
         )
+
+    def mark(self) -> Tuple[int, List[str], Dict[str, int]]:
+        """A cheap in-memory restore point for :meth:`rollback`.
+
+        The decision log is append-only, so its length suffices; unlike
+        :meth:`snapshot` this costs O(queue), not O(history).
+        """
+        return (len(self.decisions), list(self.waiting),
+                dict(self.queued_epoch))
+
+    def rollback(self, mark: Tuple[int, List[str], Dict[str, int]]) -> None:
+        """Drop every decision and queue change made since ``mark``."""
+        count, waiting, queued_epoch = mark
+        del self.decisions[count:]
+        self.waiting = deque(waiting)
+        self.queued_epoch = dict(queued_epoch)
 
     def snapshot(self) -> Dict[str, object]:
         """Serializable controller state for checkpoints."""

@@ -29,7 +29,9 @@ index, events)``:
 4. **Admission.**  Queued flows retry FIFO, then the epoch's arrivals
    are gated: a flow is admitted only if Eq. (6) holds with *every*
    active flow (candidate included) at its Sec. II-D basic share —
-   which proves every existing flow keeps its floor.  Non-admits are
+   which proves every existing flow keeps its floor.  Each probe
+   analyzes only the candidate's universe component (the rest of the
+   committed set is floor-feasible already).  Non-admits are
    queued or rejected, each with a ``reason`` in the decision log.
 5. **Solve** on the final active set — centralized phase-1 LP
    (warm-started, memoized) or full 2PA-D through the PR-4 resilience
@@ -506,16 +508,29 @@ class AllocatorRuntime:
     def _admission_reason(
         self, topo: _TopologyState, active: Set[str], fid: str
     ) -> Tuple[str, str]:
-        """The verdict for admitting ``fid`` on ``topo`` next to ``active``."""
+        """The verdict for admitting ``fid`` on ``topo`` next to ``active``.
+
+        With the incremental store the probe covers only ``fid``'s
+        universe component: basic shares are per contending group and
+        every Eq. (6) clique lies inside one group, so groups elsewhere
+        cannot change the verdict — and with admission on, the committed
+        active set is already floor-feasible everywhere else.
+        """
         unroutable = topo.unroutable.get(fid)
         if unroutable is not None:
             return unroutable, f"flow {fid} has no usable path"
         if not self.config.admission:
             return REASON_OK, ""
-        ids = topo.ordered(active | {fid})
-        analysis = topo.analysis_of(
-            ids, name=f"{self.scenario.name}-admit"
-        )
+        name = f"{self.scenario.name}-admit"
+        store = topo.contention
+        if store is None:
+            analysis = topo.analysis_of(topo.ordered(active | {fid}), name)
+        else:
+            ids = [
+                f for f in store.component_members(store.component_of(fid))
+                if f in active or f == fid
+            ]
+            analysis = store.analysis_of_flows(ids, name=name)
         if basic_share_feasible(analysis):
             return REASON_OK, ""
         return (

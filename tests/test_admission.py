@@ -139,6 +139,19 @@ class TestAdmissionController:
         assert list(clone.waiting) == list(controller.waiting)
         assert clone.decisions == controller.decisions
 
+    def test_rollback_matches_a_snapshot_restore(self):
+        controller = AdmissionController(max_queue=4)
+        controller.decide("f1", 0, REASON_OK)
+        controller.decide("f2", 0, REASON_FLOOR)
+        snap = controller.snapshot()
+        mark = controller.mark()
+        controller.readmit("f2", 1)
+        controller.decide("f3", 1, REASON_FLOOR)
+        controller.decide("f4", 1, REASON_UNROUTABLE, "no path via X")
+        controller.rollback(mark)
+        assert controller.snapshot() == snap
+        assert list(controller.waiting) == ["f2"]
+
 
 class TestAgedEviction:
     def test_no_age_bound_is_a_noop(self):

@@ -11,7 +11,11 @@ tracking (churn touching one island re-solves only that island), memo
 dump/load round-trips, the batch admission API, and the runtime seam.
 """
 
+import functools
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.allocation import (
     basic_fairness_lp_allocation,
@@ -19,6 +23,7 @@ from repro.core.allocation import (
 )
 from repro.core.contention import ContentionAnalysis
 from repro.core.model import Flow, Network, Scenario
+from repro.graphs import connected_components, maximal_cliques
 from repro.obs import registry as obs
 from repro.obs.registry import MetricsRegistry
 from repro.perf.shard import (
@@ -28,7 +33,9 @@ from repro.perf.shard import (
 )
 from repro.resilience.admission import ADMIT, REASON_FLOOR
 from repro.resilience.runtime import AllocatorRuntime, RuntimeConfig
+from repro.scenarios.random_topology import make_random_scenario
 
+from tests.test_admission_probe import shortcut_neighbors
 from tests.test_lp_revised import LIBRARY
 
 #: fig3's shortcut topology has infeasible basic floors: the monolithic
@@ -238,6 +245,194 @@ class TestBatchAllocationEngine:
         )
         decisions = engine.register(scenario.flow_ids)
         assert all(d.action == ADMIT for d in decisions)
+
+
+class TestBatchEngineRelease:
+    def test_release_accepts_a_generator(self):
+        """A generator is consumed once: the released flows leave, their
+        universe component is re-solved, and the release count is
+        right."""
+        registry = MetricsRegistry()
+        obs.set_registry(registry)
+        try:
+            engine = BatchAllocationEngine(
+                ContentionAnalysis(two_islands())
+            )
+            engine.register(["A", "B"])
+            engine.allocate()
+            engine.release(fid for fid in ["B"])
+            rates = engine.allocate()
+        finally:
+            obs.set_registry(None)
+        assert registry.snapshot()["counters"]["batch.release.flows"] == 1
+        assert engine.active == {"A"}
+        assert list(rates) == ["A"]
+        assert engine.solver.last_stats["components"] == 1
+
+
+def ladder_universe(k=3, chain=9, span=3, flows_per=5):
+    """``k`` disjoint chains of staggered multi-hop flows: several
+    universe components, each splitting into several active components
+    whenever a gap opens in its active flows."""
+    nodes, links, flows = [], [], []
+    for i in range(k):
+        cn = [f"c{i}_{j}" for j in range(chain)]
+        nodes += cn
+        links += [(cn[j], cn[j + 1]) for j in range(chain - 1)]
+        for j in range(flows_per):
+            start = (2 * j) % (chain - span)
+            flows.append(Flow(f"f{i}_{j}", tuple(cn[start:start + span + 1]),
+                              1.0 + (j % 3)))
+    return Scenario(Network.from_links(nodes, links), flows,
+                    name=f"ladder-{k}")
+
+
+#: Engine universes: ladder islands, random geometric nets (one universe
+#: component whose active subsets split), and shortcut topologies, where
+#: floors can be infeasible so register falls back to greedy FIFO — and,
+#: with a shortcut flow admitted next to a neighbor, a release of that
+#: neighbor makes the next allocate raise.
+ENGINE_UNIVERSES = {
+    "ladder": ladder_universe,
+    "random-a": lambda: make_random_scenario(30, 9, seed=1),
+    "random-b": lambda: make_random_scenario(36, 10, seed=4),
+    "fig3_shortcut": LIBRARY["fig3_shortcut"],
+    "shortcut-neighbors": shortcut_neighbors,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def engine_universe(name):
+    return ContentionAnalysis(ENGINE_UNIVERSES[name]())
+
+
+def whole_trial_admits(engine, candidates):
+    """The admitted subset of ``candidates`` by the whole-trial-set rule.
+
+    Group the candidates by connected component of the trial graph over
+    the *whole* universe (active flows plus candidates); a component
+    whose batch keeps every floor feasible admits at once, otherwise
+    greedy per-flow FIFO decides.
+    """
+    trial = engine.active | set(candidates)
+    graph = engine.analysis.graph.subgraph(
+        sid for fid in trial for sid in engine._subflows[fid]
+    )
+    comp_of = {}
+    for idx, comp in enumerate(connected_components(graph)):
+        for sid in comp:
+            comp_of[sid.flow] = idx
+    by_comp = {}
+    for fid in candidates:
+        by_comp.setdefault(comp_of[fid], []).append(fid)
+    active_by_comp = {}
+    for fid in engine.analysis.scenario.flow_ids:
+        if fid in engine.active:
+            active_by_comp.setdefault(comp_of[fid], []).append(fid)
+    admitted = set()
+    for idx, batch in by_comp.items():
+        accepted = list(active_by_comp.get(idx, []))
+        if engine._floors_feasible(accepted + batch):
+            admitted.update(batch)
+            continue
+        for fid in batch:
+            if engine._floors_feasible(accepted + [fid]):
+                admitted.add(fid)
+                accepted.append(fid)
+    return admitted
+
+
+class TestBatchEngineDifferential:
+    """Random register / release / allocate sequences against the
+    whole-universe oracles, checked after every epoch."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_epochs_match_the_whole_universe_oracles(self, data):
+        name = data.draw(st.sampled_from(sorted(ENGINE_UNIVERSES)))
+        analysis = engine_universe(name)
+        ids = analysis.scenario.flow_ids
+        engine = BatchAllocationEngine(analysis)
+        store = engine.store
+        touched = set()  # universe components changed since the last solve
+        for _ in range(data.draw(st.integers(1, 6))):
+            active = sorted(engine.active)
+            released = data.draw(st.lists(
+                st.sampled_from(active), unique=True,
+            )) if active else []
+            arrivals = data.draw(st.lists(st.sampled_from(ids)))
+            engine.release(released)
+            candidates = list(dict.fromkeys(
+                f for f in arrivals if f not in engine.active
+            ))
+            trial = sorted(engine.active | set(candidates))
+            whole_ok = engine._floors_feasible(trial)
+            expected = whole_trial_admits(engine, candidates)
+            decisions = engine.register(arrivals)
+            admitted = {d.flow_id for d in decisions if d.action == ADMIT}
+            assert admitted == expected
+            if whole_ok:
+                assert admitted == set(candidates)
+            touched |= {store.component_of(f) for f in released}
+            touched |= {store.component_of(f) for f in admitted}
+
+            oracle = engine.active_analysis()
+            try:
+                reference = basic_fairness_lp_allocation(oracle).shares
+            except RuntimeError:
+                # A release can leave floors infeasible (shortcut
+                # topologies); the engine must fail the same way and
+                # retry the same components next epoch.
+                with pytest.raises(RuntimeError, match="basic-fairness LP"):
+                    engine.allocate()
+                continue
+            rates = engine.allocate()
+            assert list(rates.items()) == list(reference.items())
+            assert oracle.cliques == maximal_cliques(oracle.graph)
+            if not engine.active:
+                assert rates == {}
+                touched = set()
+                continue
+            stats = engine.solver.last_stats
+            clean = sum(
+                1 for group in oracle.groups
+                if store.component_of(group[0].flow_id) not in touched
+            )
+            assert stats["components"] == len(oracle.groups)
+            assert stats["reused"] == stats["components"] - stats["dirty"]
+            assert stats["reused"] >= clean
+            assert stats["dirty"] <= stats["components"] - clean
+            touched = set()
+
+    def test_failed_allocate_keeps_its_components_dirty(self):
+        """An allocate that raises commits nothing: the next one retries
+        the same universe components instead of dropping them."""
+        engine = BatchAllocationEngine(engine_universe("shortcut-neighbors"))
+        decisions = engine.register(["S", "L", "F"])
+        assert all(d.action == ADMIT for d in decisions)
+        engine.allocate()
+        engine.release(["S"])  # L's floor no longer fits alone
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="basic-fairness LP"):
+                engine.allocate()
+        engine.register(["S"])
+        rates = engine.allocate()
+        reference = basic_fairness_lp_allocation(engine.active_analysis())
+        assert list(rates.items()) == list(reference.shares.items())
+
+    def test_merge_keeps_universe_order_after_partial_epochs(self):
+        """Re-solving only the first universe component must not move
+        its shares behind the clean components' in the merged rates."""
+        analysis = engine_universe("ladder")
+        engine = BatchAllocationEngine(analysis)
+        engine.register(analysis.scenario.flow_ids)
+        engine.allocate()
+        engine.release(["f0_1"])
+        rates = engine.allocate()
+        assert engine.solver.last_stats["reused"] >= 2
+        reference = basic_fairness_lp_allocation(engine.active_analysis())
+        assert list(rates.items()) == list(reference.shares.items())
 
 
 class TestRuntimeShardSeam:
